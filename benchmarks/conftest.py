@@ -1,8 +1,8 @@
 """Shared helpers for the benchmark suite.
 
-Each benchmark module regenerates one experiment from DESIGN.md §2 (the
-paper has no numerical tables/figures, so these experiments *are* the
-evaluation).  ``pytest-benchmark`` measures the wall-clock cost of one full
+Each benchmark module regenerates one experiment (E1–E10) or ablation
+(A1–A2) from :mod:`repro.harness` (the paper has no numerical
+tables/figures, so these experiments *are* the evaluation).  ``pytest-benchmark`` measures the wall-clock cost of one full
 experiment sweep; the benchmark body also asserts the experiment's headline
 property so a regression in correctness fails the benchmark run, not just
 the timing.

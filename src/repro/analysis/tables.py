@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment reports.
 
 The harness prints every experiment as a fixed-width table (and can emit
-Markdown for ``EXPERIMENTS.md``).  No third-party dependency is used so the
+Markdown for written reports).  No third-party dependency is used so the
 harness stays runnable in the offline environment.
 
 Trace-derived columns: :func:`attach_trace_columns` joins the rows of a

@@ -66,8 +66,9 @@ __all__ = [
 ]
 
 #: The signature every registered builder implements.  ``strategy`` is the
-#: resolved adversary (usually the spec's strategy name; the deprecated
-#: shims may pass a live :class:`AdversaryStrategy` instance instead).
+#: resolved adversary (usually the spec's strategy name; callers of
+#: :meth:`ProtocolRegistry.build` may pass a live :class:`AdversaryStrategy`
+#: instance instead).
 Builder = Callable[[ScenarioSpec, object], SystemSpec]
 
 
@@ -173,12 +174,12 @@ class ProtocolRegistry:
         """Assemble the simulated system described by ``spec``.
 
         ``strategy`` optionally overrides ``spec.adversary`` with a live
-        :class:`AdversaryStrategy` instance (used by the deprecated shims);
-        normally the spec's registered strategy name is used.
+        :class:`AdversaryStrategy` instance; normally the spec's registered
+        strategy name is used.
 
         ``engine`` optionally forces a specific round-loop kernel
-        (``"vector"``/``"fast"``/``"queue"``/``"legacy"``, see
-        :class:`repro.sim.network.SynchronousNetwork`).  All kernels
+        (``"vector"``/``"queue"``, see
+        :class:`repro.sim.network.SynchronousNetwork`).  Both kernels
         produce bit-identical executions; the default ``None`` leaves the
         network on ``"auto"``, which picks the columnar vector path
         whenever the spec's delay model allows it.
@@ -246,9 +247,8 @@ def _population(spec: ScenarioSpec, *, extra: int = 0):
     """Draw the identifier population and the correct/Byzantine split.
 
     The derivations (``derive(seed, "ids")`` / ``derive(seed, "split")``)
-    are the ones the legacy ``*_system`` helpers used, so old seeds keep
-    reproducing the same systems.  ``extra`` reserves additional ids beyond
-    ``n`` (used for churn joiners).
+    are fixed, so a seed keeps reproducing the same system.  ``extra``
+    reserves additional ids beyond ``n`` (used for churn joiners).
     """
 
     ids = sparse_ids(spec.n + extra, seed=derive(spec.seed, "ids"))

@@ -113,10 +113,9 @@ def run_scenario(
 ) -> ScenarioOutcome:
     """Build the system for ``spec``, run it under its run policy, return it.
 
-    ``engine`` optionally forces a round-loop kernel (``"vector"``/
-    ``"fast"``/``"queue"``/``"legacy"``); the kernels are bit-identical,
-    so this only matters for benchmarking and for the engine-equivalence
-    suite.  ``payload_accounting`` switches on engine-independent wire
+    ``engine`` optionally forces a round-loop kernel (``"vector"`` or
+    ``"queue"``); the kernels are bit-identical, so this only matters for
+    benchmarking and for the engine-equivalence suite.  ``payload_accounting`` switches on engine-independent wire
     byte counting (``payload_bytes``/``peak_payload_bytes`` in the
     metrics summary) before the run — pure measurement, no effect on the
     execution itself.

@@ -69,7 +69,7 @@ __all__ = [
 #:     Algorithm 6 as written: every member answers a ``present`` with a
 #:     dedicated ``Unicast(joiner, AckMsg(round))``.  With ``k`` joiners
 #:     in a round that is ``k·n`` extra messages — and, worse, the round
-#:     stops being broadcast-only, so the vector/fast kernels fall back
+#:     stops being broadcast-only, so the vector kernel falls back
 #:     to the per-node representation exactly when churn makes the
 #:     system busiest.
 #: ``"delta"``
@@ -226,13 +226,20 @@ class _InstanceRecord:
 #: Memo key for the per-instance routing table cached on each inbox.
 _ROUTE_KEY = "total-order-routing"
 
+#: :meth:`Inbox.memo` key of the round's shared empty instance inbox.
+_EMPTY_KEY = "total-order-empty"
+
+
+def _new_empty_inbox(_inbox: Inbox) -> Inbox:
+    return Inbox()
+
 
 def _route_instances(inbox: Inbox) -> dict[int, Inbox]:
     """Split an inbox's batched consensus traffic into per-instance inboxes.
 
     A pure derivation of the inbox contents, memoized on the inbox
-    (:meth:`~repro.sim.messages.Inbox.memo`): on the synchronous fast path
-    a broadcast-only round hands *the same* inbox object to every node, so
+    (:meth:`~repro.sim.messages.Inbox.memo`): on the vector kernel a
+    broadcast-only round hands *the same* inbox object to every node, so
     the O(total batched payloads) split happens once per round instead of
     once per node.
     """
@@ -423,7 +430,7 @@ class TotalOrderProcess(Process):
 
         # -- 1. membership and event intake -------------------------------------
         # Batched consensus traffic is routed separately (and shared across
-        # nodes on the fast path) by _instance_inboxes; this pass only
+        # nodes on the vector kernel) by _instance_inboxes; this pass only
         # handles the O(events) membership/event payloads, pre-filtered once
         # per shared inbox by the memoized control-plane tally.
         incoming_events: list[tuple[NodeId, Hashable]] = []
@@ -480,7 +487,9 @@ class TotalOrderProcess(Process):
         # instead of growing with the ~5n/2-round finality horizon.
         routed = view.inbox.memo(_ROUTE_KEY, _route_instances)
         groups: list[tuple[int, tuple[Payload, ...]]] = []
-        empty = Inbox.empty()
+        # Taken from the round inbox's memo: shared wherever the round inbox
+        # is shared, and gone (with anything memoized on it) after the round.
+        empty = view.inbox.memo(_EMPTY_KEY, _new_empty_inbox)
         for record in self._instances.values():
             if record.quiescent:
                 continue

@@ -1,4 +1,4 @@
-"""Ablations of design decisions called out in DESIGN.md §4.
+"""Ablations A1–A2 of the implementation's design decisions.
 
 These are not part of the paper's claims; they quantify why the
 implementation makes the choices it makes:

@@ -1,8 +1,8 @@
 """Experiment definitions E1–E10 as declarative sweeps over :mod:`repro.api`.
 
 The paper is a theory paper without numerical tables or figures, so the
-"evaluation" we regenerate is the simulation-level validation suite listed
-in ``DESIGN.md`` §2: every theorem becomes an experiment that measures, over
+"evaluation" we regenerate is a simulation-level validation suite defined
+in this module: every theorem becomes an experiment that measures, over
 many seeds, adversaries and system sizes, whether the claimed property held
 and what the relevant complexity (rounds, messages, range reduction, …)
 was.
@@ -13,8 +13,8 @@ turns one executed scenario into a measurement row, and an aggregation
 recipe (``group_by`` + ``metrics``).  The :class:`~repro.api.SweepRunner`
 expands the grids, executes every scenario (optionally across a process
 pool via ``jobs``), and the rows aggregate through
-:func:`repro.analysis.stats.aggregate_rows` into the tables recorded in
-``EXPERIMENTS.md``.  Row functions run inside the worker processes, so
+:func:`repro.analysis.stats.aggregate_rows` into the report tables the
+runner prints (:mod:`repro.harness.runner`).  Row functions run inside the worker processes, so
 they must stay module-level (picklable by reference).
 
 All experiments accept ``scale`` (a small positive integer) so the same

@@ -20,17 +20,14 @@ class ConfigurationError(SimulationError):
 class UnknownEngineError(ConfigurationError, ValueError):
     """An engine name outside :data:`repro.sim.network.ENGINE_CHOICES`.
 
-    Raised *eagerly* — at network construction for ``REPRO_ENGINE`` and at
-    :meth:`~repro.sim.network.SynchronousNetwork.set_engine` for explicit
-    arguments — never at mid-run resolution.  Doubles as a ``ValueError``
-    so argument-validation callers can catch it idiomatically.
+    Raised *eagerly* — at network construction and at
+    :meth:`~repro.sim.network.SynchronousNetwork.set_engine` — never at
+    mid-run resolution.  Doubles as a ``ValueError`` so argument-validation
+    callers can catch it idiomatically.
     """
 
-    def __init__(self, engine: object, choices: tuple, *, source: str | None = None) -> None:
-        origin = f" (from {source})" if source else ""
-        super().__init__(
-            f"unknown engine {engine!r}{origin}; choose from {', '.join(choices)}"
-        )
+    def __init__(self, engine: object, choices: tuple) -> None:
+        super().__init__(f"unknown engine {engine!r}; choose from {', '.join(choices)}")
         self.engine = engine
         self.choices = choices
 

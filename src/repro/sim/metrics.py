@@ -210,8 +210,8 @@ class RunMetrics:
 
         Equivalent to calling :meth:`record_delivery` once per ``(node,
         count)`` pair, in order — including registering nodes whose count is
-        zero — but with a single round-counter update.  The fast and queue
-        engines use this once per round instead of once per process.
+        zero — but with a single round-counter update.  Both round-loop
+        kernels use this once per round instead of once per process.
         """
 
         store = self._round_store

@@ -15,7 +15,7 @@ from repro.adversary import (
 from repro.adversary.base import AdversaryContext
 from repro.core.reliable_broadcast import ReliableBroadcastProcess
 from repro.sim import Broadcast, Inbox, RoundView, Unicast
-from repro.workloads import consensus_system
+from repro.api import ScenarioSpec, build_system
 
 
 def view(round_index, pairs=()):
@@ -79,7 +79,12 @@ class TestByzantineProcess:
         # node influences receivers only through payload content.  This is an
         # end-to-end check: the receiver's inbox attributes the adversary's
         # messages to the adversary's own id.
-        spec = consensus_system(4, 1, strategy="consensus-split-vote", seed=1, trace=True)
+        spec = build_system(
+            ScenarioSpec(
+                protocol="consensus", n=4, f=1, adversary="consensus-split-vote",
+                seed=1, trace=True,
+            )
+        )
         spec.network.run(max_rounds=10, stop_when=lambda net: False)
         byz = set(spec.byzantine_ids)
         from repro.sim import EventKind

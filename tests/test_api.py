@@ -25,12 +25,6 @@ from repro.api import (
     run_sweep,
 )
 from repro.harness import run_experiment
-from repro.workloads import (
-    approximate_agreement_system,
-    consensus_system,
-    reliable_broadcast_system,
-    rotor_coordinator_system,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -307,61 +301,17 @@ class TestSweepRunnerDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# Deprecated shims
+# Explicit inputs
 # ---------------------------------------------------------------------------
 
 
-class TestDeprecatedShims:
-    def test_shim_warns_and_matches_api_route(self):
-        with pytest.warns(DeprecationWarning, match="consensus_system"):
-            legacy = consensus_system(
-                7, 2, ones_fraction=0.5, strategy="consensus-split-vote", seed=23
-            )
-        legacy_run = legacy.network.run(max_rounds=60)
-        modern = run_scenario(
-            ScenarioSpec(
-                protocol="consensus",
-                n=7,
-                f=2,
-                adversary="consensus-split-vote",
-                seed=23,
-                max_rounds=60,
-            )
+def test_explicit_inputs_are_honoured():
+    probe = build_system(ScenarioSpec(protocol="consensus", n=4, f=0, seed=9))
+    values = {node: 1 for node in probe.correct_ids}
+    outcome = run_scenario(
+        ScenarioSpec(
+            protocol="consensus", n=4, f=0, seed=9,
+            inputs="explicit", input_params={"values": values}, max_rounds=40,
         )
-        assert legacy_run.decided_outputs() == modern.result.decided_outputs()
-        assert legacy_run.metrics.total_messages == modern.messages
-
-    @pytest.mark.parametrize(
-        "shim,protocol,kwargs,max_rounds",
-        [
-            (reliable_broadcast_system, "reliable-broadcast", {}, 12),
-            (rotor_coordinator_system, "rotor-coordinator", {}, 50),
-            (approximate_agreement_system, "approximate-agreement", {}, 8),
-        ],
     )
-    def test_every_shim_warns_and_is_execution_identical(
-        self, shim, protocol, kwargs, max_rounds
-    ):
-        """Each PR-1 ``*_system`` shim must emit a DeprecationWarning naming
-        itself and build the exact system the declarative API builds."""
-
-        with pytest.warns(DeprecationWarning, match=shim.__name__):
-            legacy = shim(7, 2, seed=31, **kwargs)
-        legacy_run = legacy.network.run(max_rounds=max_rounds)
-        modern = run_scenario(
-            ScenarioSpec(
-                protocol=protocol, n=7, f=2, seed=31, max_rounds=max_rounds
-            )
-        )
-        assert legacy_run.outputs() == modern.result.outputs()
-        assert legacy_run.rounds_executed == modern.result.rounds_executed
-        assert legacy_run.metrics.total_messages == modern.messages
-
-    def test_shim_accepts_explicit_inputs(self):
-        with pytest.warns(DeprecationWarning):
-            probe = consensus_system(4, 0, seed=9)
-        inputs = {node: 1 for node in probe.correct_ids}
-        with pytest.warns(DeprecationWarning):
-            spec = consensus_system(4, 0, inputs=inputs, seed=9)
-        run = spec.network.run(max_rounds=40)
-        assert set(run.decided_outputs().values()) == {1}
+    assert set(outcome.result.decided_outputs().values()) == {1}

@@ -13,6 +13,8 @@ from repro.dynamic.churn import (
     generate_flash_crowd_schedule,
 )
 
+from reference_kernel import REFERENCE, run_reference
+
 
 class TestMembershipAt:
     def test_exact_event_round_is_included(self):
@@ -219,7 +221,7 @@ class TestSpecRouting:
         with pytest.raises(ValueError, match="unknown churn pattern"):
             run_scenario(spec)
 
-    @pytest.mark.parametrize("engine", ("fast", "queue", "legacy"))
+    @pytest.mark.parametrize("engine", ("vector", "queue", REFERENCE))
     def test_flash_crowd_runs_on_every_engine(self, engine):
         spec = ScenarioSpec(
             protocol="total-order", n=6, f=1, seed=2,
@@ -228,7 +230,11 @@ class TestSpecRouting:
                 "burst_round": 4, "burst_size": 2,
             },
         )
-        outcome = run_scenario(spec, engine=engine)
+        outcome = (
+            run_reference(spec)
+            if engine == REFERENCE
+            else run_scenario(spec, engine=engine)
+        )
         assert outcome.rounds == 15
 
     def test_flash_crowd_engines_bit_identical(self):
@@ -242,12 +248,16 @@ class TestSpecRouting:
             },
             trace=True,
         )
+        outcomes = {
+            "vector": run_scenario(spec, engine="vector"),
+            "queue": run_scenario(spec, engine="queue"),
+            REFERENCE: run_reference(spec),
+        }
         prints = {}
-        for engine in ("fast", "queue", "legacy"):
-            outcome = run_scenario(spec, engine=engine)
+        for engine, outcome in outcomes.items():
             events = tuple(
                 (e.kind, e.round_index, e.node_id, e.peer_id, e.payload, e.detail)
                 for e in outcome.result.trace
             )
             prints[engine] = (events, outcome.outputs(), outcome.rounds)
-        assert prints["fast"] == prints["queue"] == prints["legacy"]
+        assert prints["vector"] == prints["queue"] == prints[REFERENCE]

@@ -7,7 +7,7 @@ import pytest
 from repro.analysis import consensus_agreement, consensus_validity
 from repro.core.consensus import INIT_ROUNDS, PHASE_LENGTH, ConsensusProcess
 from repro.core.quorums import max_faults_tolerated
-from repro.workloads import consensus_system
+from repro.api import ScenarioSpec, build_system
 
 ADVERSARIES = [
     "silent",
@@ -20,7 +20,12 @@ ADVERSARIES = [
 
 
 def run_consensus(n, f, *, ones_fraction, strategy, seed):
-    spec = consensus_system(n, f, ones_fraction=ones_fraction, strategy=strategy, seed=seed)
+    spec = build_system(
+        ScenarioSpec(
+            protocol="consensus", n=n, f=f, adversary=strategy or "silent", seed=seed,
+            inputs="binary", input_params={"ones_fraction": ones_fraction},
+        )
+    )
     run = spec.network.run(max_rounds=60 + 10 * f)
     outputs = {i: spec.network.process(i).output for i in spec.correct_ids}
     return spec, run, outputs
@@ -67,14 +72,8 @@ class TestAgreementAndValidity:
 
     def test_real_valued_inputs(self):
         # Section VII considers real-number inputs (needed for total ordering).
-        inputs = None
-        spec = consensus_system(
-            7,
-            2,
-            inputs=None,
-            ones_fraction=0.5,
-            strategy="silent",
-            seed=11,
+        spec = build_system(
+            ScenarioSpec(protocol="consensus", n=7, f=2, adversary="silent", seed=11)
         )
         run = spec.network.run(max_rounds=60)
         outputs = {i: spec.network.process(i).output for i in spec.correct_ids}

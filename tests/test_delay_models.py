@@ -4,7 +4,7 @@ Covers the ungrouped-node semantics of the partition-style models (the
 pre-fix ``-1`` sentinel let two ungrouped nodes — churn joiners in
 particular — talk synchronously through any partition), the
 ``heal_round <= sent_round`` causality boundary, ``split_into_groups``
-validation, and queue/legacy bit-identity for ``HeavyTailDelay`` and
+validation, and queue/reference bit-identity for ``HeavyTailDelay`` and
 ``JitteredSynchronousDelay``.
 """
 
@@ -28,6 +28,8 @@ from repro.sim import (
     split_into_groups,
 )
 from repro.sim.delays import UNGROUPED_POLICIES
+
+from reference_kernel import REFERENCE, run_reference
 
 NEVER = 1_000_000  # the "effectively never" horizon PartitionDelay uses
 
@@ -196,7 +198,7 @@ class TestNewModels:
         ("jittered", {"jitter_probability": 0.3, "max_extra": 2}),
     ])
     @pytest.mark.parametrize("seed", (0, 1))
-    def test_queue_and_legacy_bit_identical_for_new_models(
+    def test_queue_and_reference_bit_identical_for_new_models(
         self, delay, delay_params, seed
     ):
         spec = ScenarioSpec(
@@ -211,8 +213,8 @@ class TestNewModels:
             trace=True,
         )
         outcomes = {
-            engine: run_scenario(spec, engine=engine)
-            for engine in ("queue", "legacy")
+            "queue": run_scenario(spec, engine="queue"),
+            REFERENCE: run_reference(spec),
         }
 
         def fingerprint(outcome):
@@ -227,7 +229,7 @@ class TestNewModels:
                 outcome.result.stop_reason,
             )
 
-        assert fingerprint(outcomes["queue"]) == fingerprint(outcomes["legacy"])
+        assert fingerprint(outcomes["queue"]) == fingerprint(outcomes[REFERENCE])
 
 
 class TestDeliveryBoundsProperty:

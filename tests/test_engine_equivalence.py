@@ -1,14 +1,13 @@
 """Metamorphic engine-equivalence suite.
 
-The round engine runs on one of four kernels (``vector``, ``fast``,
-``queue``, ``legacy`` — see :mod:`repro.sim.network`).  These tests are
-the core guard for the structured paths: for every registered protocol,
-over a grid of seeds, all applicable kernels must produce
-**bit-identical** executions —
-the same trace events in the same order, the same metrics (including
-per-node counter *insertion order*), the same outputs, the same stop
-reason.  A divergence anywhere means the fast path changed observable
-semantics, not just speed.
+The round engine runs on one of two kernels (``vector``, ``queue`` — see
+:mod:`repro.sim.network`).  These tests are the core guard for both: for
+every registered protocol, over a grid of seeds, each applicable kernel
+must produce an execution **bit-identical** to the original single-list
+round loop kept in ``tests/reference_kernel.py`` — the same trace events
+in the same order, the same metrics (including per-node counter
+*insertion order*), the same outputs, the same stop reason.  A divergence
+anywhere means a kernel changed observable semantics, not just speed.
 """
 
 from __future__ import annotations
@@ -20,10 +19,12 @@ from repro.api.sweep import run_scenario
 from repro.sim import ConfigurationError, SynchronousNetwork
 from repro.sim.node import NullProcess
 
+from reference_kernel import REFERENCE, run_reference
+
 SEEDS = (0, 1, 2)
 
 #: One representative (deliberately adversarial) scenario per registered
-#: protocol.  Churn-capable protocols get churn so the fast path's
+#: protocol.  Churn-capable protocols get churn so the vector kernel's
 #: delivery-time membership filtering is exercised, not just the steady
 #: state.
 SCENARIOS = {
@@ -74,24 +75,20 @@ def test_scenario_table_covers_every_registered_protocol():
 
 @pytest.mark.parametrize("protocol", sorted(SCENARIOS))
 @pytest.mark.parametrize("seed", SEEDS)
-def test_vector_fast_queue_and_legacy_are_trace_identical(protocol, seed):
+def test_vector_queue_and_reference_are_trace_identical(protocol, seed):
     spec = ScenarioSpec(protocol=protocol, seed=seed, trace=True, **SCENARIOS[protocol])
-    prints = {
-        engine: fingerprint(run_scenario(spec, engine=engine))
-        for engine in ("vector", "fast", "queue", "legacy")
-    }
-    assert prints["vector"] == prints["legacy"]
-    assert prints["fast"] == prints["legacy"]
-    assert prints["queue"] == prints["legacy"]
+    reference = fingerprint(run_reference(spec))
+    assert fingerprint(run_scenario(spec, engine="vector")) == reference
+    assert fingerprint(run_scenario(spec, engine="queue")) == reference
 
 
 def test_total_order_churn_n50_is_trace_identical_across_kernels():
-    """Total-order at n=50 with churn, across all four kernels.
+    """Total-order at n=50 with churn, on both kernels and the reference.
 
     Before the instance-lifecycle rewrite the protocol's own chain/ack
-    bookkeeping made n=50 too slow to run on the reference kernels; now
+    bookkeeping made n=50 too slow to run on the reference loop; now
     that per-round cost is bounded by the decide+linger window, the
-    four-kernel bit-identical guarantee is enforced at a size where
+    bit-identical guarantee is enforced at a size where
     batching, quiescence (first transition ≈ round 20: decide + linger)
     and churn-time delivery filtering are all exercised for real.  Churn
     also forces the vector kernel through its unicast/non-shared fallback
@@ -107,18 +104,14 @@ def test_total_order_churn_n50_is_trace_identical_across_kernels():
         trace=True,
         churn={"rounds": 24, "join_rate": 0.2, "leave_rate": 0.1},
     )
-    prints = {
-        engine: fingerprint(run_scenario(spec, engine=engine))
-        for engine in ("vector", "fast", "queue", "legacy")
-    }
-    assert prints["vector"] == prints["legacy"]
-    assert prints["fast"] == prints["legacy"]
-    assert prints["queue"] == prints["legacy"]
+    reference = fingerprint(run_reference(spec))
+    assert fingerprint(run_scenario(spec, engine="vector")) == reference
+    assert fingerprint(run_scenario(spec, engine="queue")) == reference
 
 
 @pytest.mark.parametrize("protocol", ("consensus", "total-order"))
 def test_trace_with_payload_accounting_is_kernel_identical(protocol):
-    """``trace=True`` + ``enable_payload_accounting()`` on all four kernels.
+    """``trace=True`` + ``enable_payload_accounting()`` on every kernel.
 
     The columnar trace store and the byte accounting hook into the same
     send/delivery paths of each kernel; running them *together* pins that
@@ -127,26 +120,20 @@ def test_trace_with_payload_accounting_is_kernel_identical(protocol):
     must stay bit-identical across kernels.
     """
 
-    from repro.api.registry import REGISTRY
-    from repro.api.sweep import ScenarioOutcome, resolve_stop
-
     spec = ScenarioSpec(protocol=protocol, seed=2, trace=True, **SCENARIOS[protocol])
-    info = REGISTRY.info(spec.protocol)
+    outcomes = {
+        engine: run_scenario(spec, engine=engine, payload_accounting=True)
+        for engine in ("vector", "queue")
+    }
+    outcomes[REFERENCE] = run_reference(spec, payload_accounting=True)
     prints = {}
-    for engine in ("vector", "fast", "queue", "legacy"):
-        system = REGISTRY.build(spec, engine=engine)
-        system.network.enable_payload_accounting()
-        result = system.network.run(
-            max_rounds=info.default_max_rounds(spec),
-            stop_when=resolve_stop(spec, info),
-        )
-        outcome = ScenarioOutcome(spec=spec, system=system, result=result)
+    for engine, outcome in outcomes.items():
+        result = outcome.result
         assert len(result.trace) > 0
         assert result.metrics.total_payload_bytes > 0
         prints[engine] = fingerprint(outcome)
-    assert prints["vector"] == prints["legacy"]
-    assert prints["fast"] == prints["legacy"]
-    assert prints["queue"] == prints["legacy"]
+    assert prints["vector"] == prints[REFERENCE]
+    assert prints["queue"] == prints[REFERENCE]
 
 
 @pytest.mark.parametrize(
@@ -158,7 +145,7 @@ def test_trace_with_payload_accounting_is_kernel_identical(protocol):
     ],
 )
 @pytest.mark.parametrize("seed", SEEDS)
-def test_queue_matches_legacy_under_delay_models(delay, delay_params, seed):
+def test_queue_matches_reference_under_delay_models(delay, delay_params, seed):
     spec = ScenarioSpec(
         protocol="consensus",
         n=7,
@@ -171,12 +158,10 @@ def test_queue_matches_legacy_under_delay_models(delay, delay_params, seed):
         max_rounds=25,
     )
     queued = fingerprint(run_scenario(spec, engine="queue"))
-    legacy = fingerprint(run_scenario(spec, engine="legacy"))
-    assert queued == legacy
+    assert queued == fingerprint(run_reference(spec))
 
 
-def test_auto_resolves_to_vector_only_for_synchronous_delay(monkeypatch):
-    monkeypatch.delenv("REPRO_ENGINE", raising=False)
+def test_auto_resolves_to_vector_only_for_synchronous_delay():
     sync = SynchronousNetwork([NullProcess(1)])
     assert sync.resolved_engine() == "vector"
     assert sync.tally_backend() == "numpy"
@@ -187,26 +172,25 @@ def test_auto_resolves_to_vector_only_for_synchronous_delay(monkeypatch):
     assert delayed.tally_backend() == "scalar"
 
 
-@pytest.mark.parametrize("engine", ("fast", "vector"))
-def test_synchronous_only_engines_reject_delayed_delivery(engine):
+def test_vector_engine_rejects_delayed_delivery():
     from repro.sim import UniformRandomDelay
 
     with pytest.raises(ConfigurationError):
         SynchronousNetwork(
-            [NullProcess(1)], delay_model=UniformRandomDelay(), engine=engine
+            [NullProcess(1)], delay_model=UniformRandomDelay(), engine="vector"
         )
     spec = ScenarioSpec(
         protocol="consensus", n=4, f=1, delay="uniform-random", seed=0
     )
     with pytest.raises(ConfigurationError):
-        run_scenario(spec, engine=engine)
+        run_scenario(spec, engine="vector")
 
 
 def test_engine_cannot_change_mid_run():
-    net = SynchronousNetwork([NullProcess(1)], engine="fast")
+    net = SynchronousNetwork([NullProcess(1)], engine="vector")
     net.step_round()
     with pytest.raises(ConfigurationError):
-        net.set_engine("legacy")
+        net.set_engine("queue")
     net.set_engine(net.engine)  # a no-op reassignment stays allowed
 
 
@@ -229,42 +213,11 @@ def test_unknown_engine_is_rejected_eagerly_with_choices():
     net = SynchronousNetwork([NullProcess(1)])
     with pytest.raises(UnknownEngineError):
         net.set_engine("warp")
-
-
-def test_engine_env_var_is_validated_eagerly(monkeypatch):
-    # A bad REPRO_ENGINE fails at construction even when an explicit
-    # engine argument would win, and the message names the env var.
-    monkeypatch.setenv("REPRO_ENGINE", "warp")
-    with pytest.raises(ValueError) as excinfo:
-        SynchronousNetwork([NullProcess(1)], engine="fast")
-    assert "REPRO_ENGINE" in str(excinfo.value)
-
-
-def test_engine_env_var_overrides_auto(monkeypatch):
-    monkeypatch.setenv("REPRO_ENGINE", "legacy")
-    net = SynchronousNetwork([NullProcess(1)])
-    assert net.resolved_engine() == "legacy"
-    # an explicit constructor choice beats the environment
-    explicit = SynchronousNetwork([NullProcess(1)], engine="queue")
-    assert explicit.resolved_engine() == "queue"
-
-
-@pytest.mark.parametrize("env_engine", ("fast", "vector"))
-def test_engine_env_var_sync_only_falls_back_for_delayed_models(
-    monkeypatch, env_engine
-):
-    # REPRO_ENGINE=fast/vector A/B-tests whole sweeps; a network those
-    # kernels cannot drive must stay on auto instead of crashing the sweep
-    from repro.sim import UniformRandomDelay
-
-    monkeypatch.setenv("REPRO_ENGINE", env_engine)
-    sync = SynchronousNetwork([NullProcess(1)])
-    assert sync.resolved_engine() == env_engine
-    delayed = SynchronousNetwork([NullProcess(1)], delay_model=UniformRandomDelay())
-    assert delayed.resolved_engine() == "queue"
-    monkeypatch.setenv("REPRO_ENGINE", "warp")
-    with pytest.raises(ConfigurationError):
-        SynchronousNetwork([NullProcess(1)])
+    # the retired kernels are gone, not aliased
+    assert ENGINE_CHOICES == ("auto", "vector", "queue")
+    for retired in ("fast", "legacy"):
+        with pytest.raises(UnknownEngineError):
+            net.set_engine(retired)
 
 
 def test_sweep_runner_engine_is_result_identical():
@@ -278,7 +231,10 @@ def test_sweep_runner_engine_is_result_identical():
     )
     by_engine = {
         engine: SweepRunner(jobs=1, engine=engine).run(sweep)
-        for engine in (None, "vector", "fast", "queue", "legacy")
+        for engine in (None, "vector", "queue")
     }
+    by_engine[REFERENCE] = [
+        run_reference(spec).summary_row() for spec in sweep.scenarios()
+    ]
     baseline = by_engine[None]
     assert all(rows == baseline for rows in by_engine.values())

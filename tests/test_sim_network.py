@@ -18,6 +18,16 @@ from repro.sim import (
     UniformRandomDelay,
 )
 
+from reference_kernel import REFERENCE, ReferenceNetwork
+
+
+def network_on(engine, processes, **kwargs):
+    """A network on ``engine``, or on the reference loop for ``REFERENCE``."""
+
+    if engine == REFERENCE:
+        return ReferenceNetwork(processes, **kwargs)
+    return SynchronousNetwork(processes, engine=engine, **kwargs)
+
 
 class EchoOnce(Process):
     """Broadcasts a greeting in round 1 and records everything it receives."""
@@ -112,11 +122,11 @@ class TestBasicDelivery:
         assert net.metrics.total_payload_bytes == 0
         assert net.metrics.peak_payload_bytes == 0
 
-    @pytest.mark.parametrize("engine", ["fast", "queue", "legacy"])
+    @pytest.mark.parametrize("engine", ["vector", "queue", REFERENCE])
     def test_payload_accounting_counts_bytes_per_copy(self, engine):
         from repro.sim.messages import payload_nbytes
 
-        net = SynchronousNetwork([EchoOnce(i) for i in range(3)], engine=engine)
+        net = network_on(engine, [EchoOnce(i) for i in range(3)])
         net.enable_payload_accounting()
         net.step_round()
         expected = sum(payload_nbytes(("hello", i)) * 3 for i in range(3))
@@ -127,10 +137,8 @@ class TestBasicDelivery:
 
     def test_payload_accounting_is_engine_independent(self):
         totals = {}
-        for engine in ("fast", "queue", "legacy"):
-            net = SynchronousNetwork(
-                [UnicastReplier(i) for i in (1, 2)], engine=engine
-            )
+        for engine in ("vector", "queue", REFERENCE):
+            net = network_on(engine, [UnicastReplier(i) for i in (1, 2)])
             net.enable_payload_accounting()
             for _ in range(3):
                 net.step_round()
@@ -138,8 +146,42 @@ class TestBasicDelivery:
                 net.metrics.total_payload_bytes,
                 net.metrics.peak_payload_bytes,
             )
-        assert totals["fast"] == totals["queue"] == totals["legacy"]
-        assert totals["fast"][0] > 0
+        assert totals["vector"] == totals["queue"] == totals[REFERENCE]
+        assert totals["vector"][0] > 0
+
+
+class TestEmptyInboxLifetime:
+    """An empty inbox lives for one round, so its memo cache does too."""
+
+    class Listener(Process):
+        def __init__(self, node_id):
+            super().__init__(node_id)
+            self.inboxes = []
+
+        def step(self, view):
+            self.inboxes.append(view.inbox)
+            return ()
+
+    @pytest.mark.parametrize("engine", ["vector", "queue"])
+    def test_memo_on_an_empty_inbox_is_not_seen_by_a_later_run(self, engine):
+        first = SynchronousNetwork([self.Listener(1)], engine=engine)
+        first.step_round()
+        first.process(1).inboxes[0].memo("probe", lambda inbox: "first run")
+
+        later = SynchronousNetwork([self.Listener(1)], engine=engine)
+        later.step_round()
+        later.step_round()
+        for inbox in later.process(1).inboxes:
+            assert not inbox
+            assert inbox.memo("probe", lambda inbox: "fresh") == "fresh"
+
+    def test_each_round_hands_out_a_new_empty_inbox(self):
+        net = SynchronousNetwork([self.Listener(1), self.Listener(2)])
+        net.step_round()
+        net.step_round()
+        one, two = net.process(1).inboxes, net.process(2).inboxes
+        assert one[0] is two[0]  # shared within a round
+        assert one[0] is not one[1]  # never across rounds
 
 
 class TestRunLoop:
@@ -283,11 +325,9 @@ class TestMidRunDeparture:
         # times 2 surviving destinations
         assert net.metrics.rounds[-1].messages_delivered == 6
 
-    def test_departure_and_shared_inbox_fast_path_agree_with_legacy(self):
+    def test_departure_and_shared_inbox_path_agree_with_reference(self):
         def build(engine):
-            net = SynchronousNetwork(
-                [EchoOnce(i) for i in (1, 2, 3, 4)], trace=True, engine=engine
-            )
+            net = network_on(engine, [EchoOnce(i) for i in (1, 2, 3, 4)], trace=True)
             net.remove_process(4, at_round=2)
             for _ in range(3):
                 net.step_round()
@@ -296,7 +336,7 @@ class TestMidRunDeparture:
                 for e in net.trace
             ]
 
-        assert build("fast") == build("legacy")
+        assert build("vector") == build(REFERENCE)
 
     def test_unicast_to_node_that_left_is_silently_dropped(self):
         class PesterTheDeparted(Process):
@@ -305,10 +345,8 @@ class TestMidRunDeparture:
                     return [Unicast(2, "hello?")]
                 return ()
 
-        for engine in ("fast", "queue", "legacy"):
-            net = SynchronousNetwork(
-                [PesterTheDeparted(1), NullProcess(2)], engine=engine
-            )
+        for engine in ("vector", "queue", REFERENCE):
+            net = network_on(engine, [PesterTheDeparted(1), NullProcess(2)])
             net.remove_process(2, at_round=2)
             net.step_round()
             net.step_round()
@@ -331,8 +369,8 @@ class TestMidRunDeparture:
 
 class TestMembershipSortCache:
     def test_static_membership_sorts_exactly_once(self):
-        # engine pinned: the legacy kernel deliberately bypasses the cache
-        net = SynchronousNetwork([EchoOnce(i) for i in (3, 1, 2)], engine="fast")
+        # engine pinned: the reference loop deliberately bypasses the cache
+        net = SynchronousNetwork([EchoOnce(i) for i in (3, 1, 2)], engine="vector")
         for _ in range(6):
             net.step_round()
         # the old engine re-sorted the active set up to 2 + broadcasts
@@ -340,7 +378,7 @@ class TestMembershipSortCache:
         assert net.sorted_rebuilds == 1
 
     def test_churn_invalidates_the_cache_once_per_event(self):
-        net = SynchronousNetwork([EchoOnce(1), EchoOnce(2)], engine="fast")
+        net = SynchronousNetwork([EchoOnce(1), EchoOnce(2)], engine="vector")
         net.add_process(EchoOnce(3), at_round=3)
         net.remove_process(1, at_round=5)
         for _ in range(7):

@@ -23,6 +23,7 @@ from repro.api.sweep import run_scenario
 from repro.sim.events import EventKind
 
 from make_trace_golden import KIND_VALUES, serialize_trace
+from reference_kernel import REFERENCE, run_reference
 
 FIXTURE_PATH = Path(__file__).parent / "fixtures" / "trace_golden.json"
 
@@ -80,21 +81,26 @@ def test_columnar_backend_reproduces_golden_traces(key):
     "engine,key",
     [
         ("queue", "consensus-n6-f1-consensus-split-vote-static-s0"),
-        ("legacy", "consensus-n6-f1-consensus-split-vote-static-s0"),
+        (REFERENCE, "consensus-n6-f1-consensus-split-vote-static-s0"),
         ("queue", "total-order-n5-f1-equivocate-value-churn-s0"),
-        ("legacy", "total-order-n5-f1-equivocate-value-churn-s0"),
+        (REFERENCE, "total-order-n5-f1-equivocate-value-churn-s0"),
     ],
 )
 def test_reference_kernels_reproduce_golden_traces(engine, key):
-    """The scalar recording paths of the reference kernels are pinned too.
+    """The scalar recording paths of queue and the reference loop are pinned too.
 
-    The fixtures were recorded on the (auto-resolved) fast kernel, and the
-    kernels are bit-identical, so the queue/legacy event streams must match
-    the same golden columns.
+    The fixtures were recorded on the auto-resolved synchronous kernel, and
+    the kernels are bit-identical, so the queue and reference event streams
+    must match the same golden columns.
     """
 
     scenario = SCENARIOS[key]
-    outcome = run_scenario(ScenarioSpec.from_dict(scenario["spec"]), engine=engine)
+    spec = ScenarioSpec.from_dict(scenario["spec"])
+    outcome = (
+        run_reference(spec)
+        if engine == REFERENCE
+        else run_scenario(spec, engine=engine)
+    )
     got = serialize_trace(outcome.result.trace)
     assert got["payload_table"] == scenario["payload_table"]
     assert got["events"] == scenario["events"]
