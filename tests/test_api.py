@@ -315,3 +315,18 @@ def test_explicit_inputs_are_honoured():
         )
     )
     assert set(outcome.result.decided_outputs().values()) == {1}
+
+
+@pytest.mark.parametrize("module_name", ("repro", "repro.workloads", "repro.workloads.generators"))
+def test_deprecated_system_shims_are_gone(module_name):
+    import importlib
+
+    module = importlib.import_module(module_name)
+    for shim in (
+        "approximate_agreement_system",
+        "consensus_system",
+        "reliable_broadcast_system",
+        "rotor_coordinator_system",
+    ):
+        assert not hasattr(module, shim)
+        assert shim not in getattr(module, "__all__", ())

@@ -213,11 +213,41 @@ def test_unknown_engine_is_rejected_eagerly_with_choices():
     net = SynchronousNetwork([NullProcess(1)])
     with pytest.raises(UnknownEngineError):
         net.set_engine("warp")
-    # the retired kernels are gone, not aliased
     assert ENGINE_CHOICES == ("auto", "vector", "queue")
-    for retired in ("fast", "legacy"):
-        with pytest.raises(UnknownEngineError):
-            net.set_engine(retired)
+
+
+@pytest.mark.parametrize("retired", ("fast", "legacy"))
+def test_retired_engine_names_are_rejected_at_every_layer(retired):
+    # the retired kernels are gone, not aliased: the network, the scenario
+    # runner and the sweep runner all refuse their names
+    from repro.api import SweepRunner, SweepSpec
+    from repro.sim.errors import UnknownEngineError
+
+    with pytest.raises(UnknownEngineError):
+        SynchronousNetwork([NullProcess(1)], engine=retired)
+    with pytest.raises(UnknownEngineError):
+        SynchronousNetwork([NullProcess(1)]).set_engine(retired)
+    spec = ScenarioSpec(protocol="consensus", n=4, f=1, seed=0)
+    with pytest.raises(UnknownEngineError):
+        run_scenario(spec, engine=retired)
+    sweep = SweepSpec(protocol="consensus", grid={"n": (4,)}, base_seed=0)
+    with pytest.raises(UnknownEngineError):
+        SweepRunner(jobs=1, engine=retired).run(sweep)
+
+
+@pytest.mark.parametrize("value", ("queue", "legacy", "warp"))
+def test_engine_env_var_has_no_effect(monkeypatch, value):
+    # REPRO_ENGINE used to override ``auto`` with a valid name and to fail
+    # construction on an unknown one; the override is deleted, so every
+    # value (valid, retired or unknown) leaves engine selection alone.
+    from repro.sim import UniformRandomDelay
+
+    monkeypatch.setenv("REPRO_ENGINE", value)
+    assert SynchronousNetwork([NullProcess(1)]).resolved_engine() == "vector"
+    delayed = SynchronousNetwork([NullProcess(1)], delay_model=UniformRandomDelay())
+    assert delayed.resolved_engine() == "queue"
+    outcome = run_scenario(ScenarioSpec(protocol="consensus", n=4, f=1, seed=0))
+    assert outcome.system.network.resolved_engine() == "vector"
 
 
 def test_sweep_runner_engine_is_result_identical():

@@ -351,3 +351,11 @@ def test_serve_cli_parser_defaults():
     args = build_parser().parse_args(["--store", "x.db", "--port", "0"])
     assert (args.store, args.host, args.port) == ("x.db", "127.0.0.1", 0)
     assert args.jobs == 1 and args.engine is None
+
+
+def test_service_exports_only_the_stdlib_server():
+    # the FastAPI adapter (never runnable without FastAPI) is deleted
+    from repro.store import service
+
+    assert service.__all__ == ["ScenarioService", "SweepJob", "create_server"]
+    assert not hasattr(service, "create_fastapi_app")
